@@ -1,13 +1,13 @@
 GO ?= go
 
-.PHONY: check vet staticcheck build test race race-short bench bench-json checkpoint-resume scaling-smoke yield-smoke ssta-smoke cache-smoke daemon-smoke fmt
+.PHONY: check vet staticcheck build test race race-short timeout-repeat bench bench-json checkpoint-resume scaling-smoke yield-smoke ssta-smoke cache-smoke daemon-smoke fmt
 
 # Full CI gate: vet + staticcheck, build, race-enabled tests (full +
-# short modes), paper benchmarks, crash-safety kill/resume gate,
-# multi-core scaling smoke, importance-sampling yield gate, full-chip
+# short modes), repeated watchdog tests, paper benchmarks, crash-safety
+# kill/resume gate, multi-core scaling smoke, importance-sampling yield gate, full-chip
 # SSTA gate, warm model-cache gate. Run before every merge (see README
 # "Failure policy" / pre-merge gate).
-check: vet staticcheck build race race-short bench checkpoint-resume scaling-smoke yield-smoke ssta-smoke cache-smoke daemon-smoke
+check: vet staticcheck build race race-short timeout-repeat bench checkpoint-resume scaling-smoke yield-smoke ssta-smoke cache-smoke daemon-smoke
 
 vet:
 	$(GO) vet ./...
@@ -32,6 +32,12 @@ race:
 # spice-golden cross-engine sweeps, so it stays fast enough per-commit.
 race-short:
 	$(GO) test -race -short ./...
+
+# Watchdog flake gate: the SampleTimeout tests of the sampling kernel
+# and the ssta brute-force reference, 20 times under the race detector,
+# so a watchdog that races its evaluation fails before merge.
+timeout-repeat:
+	$(GO) test -race -count=20 -run SampleTimeout ./internal/core ./internal/ssta
 
 # One iteration of every paper table/figure benchmark (smoke, not timing).
 bench:

@@ -30,10 +30,11 @@
 //
 // Everything that describes how a statistical run executes — as opposed
 // to what it computes — lives in one embedded struct, core.RunConfig,
-// shared by MCConfig and SkewConfig: Seed, Workers, BatchSize, Engine,
-// Ladder, OnFailure, SampleTimeout, Checkpoint, Metrics, Progress. Field
-// promotion keeps call sites flat (cfg.Seed, cfg.Workers), and a policy
-// configured once can be reused across drivers verbatim.
+// shared by MCConfig, ISConfig, SkewConfig and ssta.Config: Seed,
+// Workers, BatchSize, Engine, Ladder, OnFailure, SampleTimeout,
+// Checkpoint, Metrics, Progress. Field promotion keeps call sites flat
+// (cfg.Seed, cfg.Workers), and a policy configured once can be reused
+// across drivers verbatim.
 //
 // Runs execute on the internal/runner worker pool: Workers = 0 means
 // serial, negative means GOMAXPROCS, positive is an exact count.
@@ -74,13 +75,16 @@
 // skipping. Under every policy the skip-set, the FailureReport and the
 // statistics are bit-identical at any worker count.
 //
-// MCConfig.SampleTimeout / SkewConfig.SampleTimeout arm a per-sample
-// watchdog: an evaluation that exceeds the deadline is abandoned and
+// RunConfig.SampleTimeout arms a per-sample watchdog (core.Watchdog) on
+// every engine invocation of every sampling driver — MC, correlated MC,
+// IS yield, skew and ssta.RunMC all run on one sampling loop,
+// core.Kernel: an evaluation that exceeds the deadline is abandoned and
 // fails with core.ErrSampleTimeout (class FailTimeout), flowing through
 // the same policies — Degrade retries the next ladder rung under a fresh
 // deadline, Skip records the timeout and moves on, FailFast surfaces the
-// typed error. A single pathological sample can therefore never stall a
-// statistical sweep.
+// typed error. Canceling the context abandons a hung evaluation too. A
+// single pathological sample can therefore never stall a statistical
+// sweep.
 //
 // # Crash-safe checkpoint/resume
 //

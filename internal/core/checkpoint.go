@@ -141,28 +141,6 @@ type skewPayload struct {
 	Metrics  runner.Snapshot `json:"metrics"`
 }
 
-// resumeSnapshot loads, fingerprint-checks and decodes a snapshot for a
-// resuming run. The (nil, 0, nil) return means there is nothing to resume
-// — no snapshot on disk yet — and the run starts from sample 0, so
-// enabling Resume unconditionally is safe for first runs. state is
-// decoded into statePtr.
-func resumeSnapshot(ck *checkpoint.Config, fp checkpoint.Fingerprint, m *runner.Metrics, statePtr any) (start int, err error) {
-	snap, _, err := checkpoint.Load(ck.Path, m)
-	if err != nil {
-		if checkpoint.IsNotExist(err) {
-			return 0, nil
-		}
-		return 0, err
-	}
-	if err := fp.Check(snap.Fingerprint); err != nil {
-		return 0, fmt.Errorf("core: cannot resume %s: %w", ck.Path, err)
-	}
-	if err := json.Unmarshal(snap.State, statePtr); err != nil {
-		return 0, fmt.Errorf("core: %s: %w: state payload: %v", ck.Path, checkpoint.ErrCorruptCheckpoint, err)
-	}
-	return snap.Next, nil
-}
-
 // saveMetrics snapshots the cost counters for a checkpoint payload. The
 // Resumed counter is stripped: it describes what *this process* restored
 // rather than evaluated, and the next resume recomputes it from its own

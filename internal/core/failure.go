@@ -189,8 +189,7 @@ func (r *FailureReport) Any() bool { return r.Skipped > 0 || r.Degraded > 0 }
 
 // Record folds one skipped sample into the report. Call it in strict
 // index order (the runner's OnSkip contract), so FirstIndex/FirstErr are
-// the true minima and SkippedIndices stays sorted. Drivers outside this
-// package (internal/ssta) use it to build the same deterministic report.
+// the true minima and SkippedIndices stays sorted.
 func (r *FailureReport) Record(index int, err error) { r.record(index, err) }
 
 // record folds one skipped sample into the report. Called in strict

@@ -241,7 +241,7 @@ func (cfg ISConfig) sampler() (Sampler, error) {
 // ImportanceYieldCtx estimates the timing yield at a delay budget by
 // importance sampling: one GradientAnalysis aims a mean-shifted Gaussian
 // proposal at the failure boundary, the shifted samples are evaluated
-// through the shared path kernel (engine ladder, OnFailure policy,
+// through the sampling Kernel (engine ladder, OnFailure policy,
 // watchdog and checkpointing all apply exactly as in MonteCarloCtx), and
 // each delay is weighted by the Gaussian likelihood ratio. For tail
 // budgets (≥3σ) this reaches a given CI half-width at orders of
@@ -364,13 +364,6 @@ func (p *Path) ImportanceYieldCtx(ctx context.Context, cfg ISConfig) (*ISResult,
 	}
 	row := isRowGen(cfg.Seed, sampler, mix, target, props)
 
-	kern, err := p.newPathKernel(cfg.RunConfig, row, func(sv []float64) (teta.RunSpec, error) {
-		return BuildRunSpec(cfg.Sources, sv), nil
-	}, cfg.injectFault)
-	if err != nil {
-		return nil, err
-	}
-
 	res := &ISResult{
 		Budget:       budget,
 		GA:           ga,
@@ -392,106 +385,72 @@ func (p *Path) ImportanceYieldCtx(ctx context.Context, cfg ISConfig) (*ISResult,
 	// changed proposal would mix likelihood ratios from two densities.
 	fp := isFingerprint(cfg, sampler, sourcesHash(cfg.Sources),
 		isProposal(budget, inflate, scale, mix, cfg.TargetCI, maxN, shift))
-	start := 0
-	var ckpt *ckptWriter
-	if ck := cfg.Checkpoint; ck != nil {
-		if ck.Resume {
-			var st isPayload
-			next, err := resumeSnapshot(ck, fp, cfg.Metrics, &st)
-			if err != nil {
-				return nil, err
+	kern, err := NewKernel(cfg.RunConfig, []*Path{p}, Driver[mcEval]{
+		Sample: pathSample(row, func(sv []float64) (teta.RunSpec, error) {
+			return BuildRunSpec(cfg.Sources, sv), nil
+		}),
+		Add: func(_ int, v mcEval) {
+			w := weight(v.sample)
+			if math.IsNaN(v.delay) || math.IsInf(v.delay, 0) {
+				// A non-finite delay is rejected and counted, like the
+				// plain-MC stream does: poison the weight so both
+				// accumulators route it to their rejection counters.
+				w = math.NaN()
 			}
-			if next > 0 {
-				est.Restore(st.Est)
-				weighted.Restore(st.Weighted)
-				res.TotalSC = st.TotalSC
-				res.Failures = st.Failures
-				restoreMetrics(cfg.Metrics, st.Metrics, next)
-				start = next
-			}
-		}
-		ckpt = &ckptWriter{ck: ck, fp: fp, m: cfg.Metrics, payload: func(int) any {
+			est.Add(w, v.delay > budget)
+			weighted.Add(v.delay, w)
+			res.TotalSC += v.sc
+		},
+		Failures:    &res.Failures,
+		Fingerprint: fp,
+		Save: func(_ int, m runner.Snapshot) any {
 			return isPayload{
 				Est:      est.State(),
 				Weighted: weighted.State(),
 				TotalSC:  res.TotalSC,
 				Failures: res.Failures,
-				Metrics:  saveMetrics(cfg.Metrics),
+				Metrics:  m,
 			}
-		}}
+		},
+		Restore: func(_ int, decode func(any) error) (runner.Snapshot, error) {
+			var st isPayload
+			if err := decode(&st); err != nil {
+				return runner.Snapshot{}, err
+			}
+			est.Restore(st.Est)
+			weighted.Restore(st.Weighted)
+			res.TotalSC = st.TotalSC
+			res.Failures = st.Failures
+			return st.Metrics, nil
+		},
+		injectFault: cfg.injectFault,
+	})
+	if err != nil {
+		return nil, err
 	}
 
-	// The sweep: rounds end at the deterministic boundaries
-	// min(N·2^k, MaxN). A resumed run replays the boundary schedule past
-	// its restored prefix, so the round in progress at the kill finishes
-	// before the stop rule is evaluated again — the stop decision is a
-	// pure function of the prefix statistics at a boundary, which makes
-	// kill/resume bit-identical even for adaptive runs.
+	// The sweep: one kernel run per round, rounds ending at the
+	// deterministic boundaries min(N·2^k, MaxN). A resumed run replays
+	// the boundary schedule past its restored prefix, so the round in
+	// progress at the kill finishes before the stop rule is evaluated
+	// again — the stop decision is a pure function of the prefix
+	// statistics at a boundary, which makes kill/resume (and a chain of
+	// Checkpoint.Limit shards) bit-identical even for adaptive runs.
 	total := cfg.N
-	for total < start {
+	for total < kern.next {
 		total = nextRound(total, maxN)
 	}
 	for {
-		opts := cfg.runnerOptions()
-		opts.Start = start
-		opts.OnSkip = func(i int, err error) {
-			res.Failures.record(i, err)
-			class := ClassOther
-			var se *SampleError
-			if errors.As(err, &se) {
-				class = se.Class
-			}
-			cfg.Metrics.AddFailure(string(class))
-		}
-		if ckpt != nil {
-			opts.OnCheckpoint = ckpt.flush
-			opts.CheckpointEvery = cfg.Checkpoint.Every
-			opts.CheckpointInterval = cfg.Checkpoint.Interval
-		}
-		err := runner.MapWorker(ctx, total, opts,
-			func() any { box := kern.newBox(); return &box },
-			runner.WithRecovery(
-				func(ctx context.Context, i int, sc any) (mcEval, error) {
-					return kern.evalPrimary(ctx, i, sc.(*scratchBox))
-				},
-				func(ctx context.Context, i int, _ any, cause error) (mcEval, error) {
-					return kern.recover(ctx, i, cause)
-				}),
-			func(i int, v mcEval) {
-				w := weight(v.sample)
-				if math.IsNaN(v.delay) || math.IsInf(v.delay, 0) {
-					// A non-finite delay is rejected and counted, like the
-					// plain-MC stream does: poison the weight so both
-					// accumulators route it to their rejection counters.
-					w = math.NaN()
-				}
-				est.Add(w, v.delay > budget)
-				weighted.Add(v.delay, w)
-				res.TotalSC += v.sc
-				if v.degraded {
-					res.Failures.Degraded++
-				}
-			})
-		if err != nil {
+		if err := kern.Run(ctx, total); err != nil {
 			return nil, err
 		}
-		start = total
-		if total >= maxN {
-			break
-		}
-		if cfg.TargetCI <= 0 {
+		if total >= maxN || cfg.TargetCI <= 0 {
 			break
 		}
 		if est.Fails() > 0 && 1.96*est.StdErr() <= cfg.TargetCI {
 			break
 		}
 		total = nextRound(total, maxN)
-	}
-	if ckpt != nil {
-		ckpt.flush(total)
-		if ckpt.err != nil {
-			return nil, fmt.Errorf("core: checkpoint write failed: %w", ckpt.err)
-		}
 	}
 
 	p0 := est.Prob()

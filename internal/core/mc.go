@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -177,20 +176,30 @@ func pearson(a, b []float64) float64 {
 	return cov / (math.Sqrt(va) * math.Sqrt(vb))
 }
 
-// mcEval carries one sample's outcome through the runner.
+// mcEval carries one path sample's outcome through the kernel.
 type mcEval struct {
-	delay    float64
-	sc       int
-	sample   []float64
-	degraded bool // recovered through a degrade-ladder rung
+	delay  float64
+	sc     int
+	sample []float64
 }
 
-// mcWorkerState is the per-worker state of a Monte-Carlo sweep: the
-// boxed engine scratch (replaceable on watchdog abandonment) and, for
-// sharded runs, the worker's exact moment accumulator.
-type mcWorkerState struct {
-	box   scratchBox
-	shard *stat.Moments
+// pathSample is the Driver.Sample of the single-path drivers (plain,
+// correlated and importance-sampled MC): row generates the (already
+// transformed) sample row for an index, spec maps it to a RunSpec, and
+// the path is evaluated once.
+func pathSample(row func(i int) []float64, spec func(sv []float64) (teta.RunSpec, error)) func(i int, eval EvalFunc) (mcEval, error) {
+	return func(i int, eval EvalFunc) (mcEval, error) {
+		sv := row(i)
+		rs, err := spec(sv)
+		if err != nil {
+			return mcEval{}, err
+		}
+		ev, err := eval(0, rs)
+		if err != nil {
+			return mcEval{}, err
+		}
+		return mcEval{delay: ev.Delay, sc: ev.SCIters, sample: sv}, nil
+	}
 }
 
 // rowGen returns a deterministic per-index generator of transformed
@@ -262,18 +271,13 @@ func (p *Path) MonteCarloCtx(ctx context.Context, cfg MCConfig) (*MCResult, erro
 	})
 }
 
-// runMonteCarlo is the sample kernel shared by the independent-source
-// (MonteCarloCtx) and correlated (MonteCarloCorrelatedCtx) drivers: the
-// per-sample evaluation through the selected engine, the failure policy
-// with its engine ladder, metrics, streaming aggregation and the
-// skip-compaction post-pass. row generates the (already transformed)
+// runMonteCarlo is the driver shared by the independent-source
+// (MonteCarloCtx) and correlated (MonteCarloCorrelatedCtx) entry points:
+// the sampling Kernel evaluates each row through the selected engine
+// under the failure policy; this driver adds streaming aggregation and
+// the skip-compaction post-pass. row generates the (already transformed)
 // sample row for an index; spec maps a row to a RunSpec.
 func (p *Path) runMonteCarlo(ctx context.Context, cfg MCConfig, fp checkpoint.Fingerprint, row func(i int) []float64, spec func(sv []float64) (teta.RunSpec, error)) (*MCResult, error) {
-	kern, err := p.newPathKernel(cfg.RunConfig, row, spec, cfg.injectFault)
-	if err != nil {
-		return nil, err
-	}
-
 	res := &MCResult{Failures: FailureReport{Policy: cfg.OnFailure}}
 	stream := stat.NewStreamSummary()
 	if cfg.KeepSamples {
@@ -290,133 +294,72 @@ func (p *Path) runMonteCarlo(ctx context.Context, cfg MCConfig, fp checkpoint.Fi
 	// checkpointed run keeps everything on the drain so every snapshot
 	// cut sees exactly the delivered prefix.
 	sharded := cfg.Checkpoint == nil
-
-	// Durable journal: restore a matching snapshot's prefix (Resume), and
-	// flush prefix-consistent cuts from the ordered-delivery goroutine.
-	start := 0
-	var ckpt *ckptWriter
-	if ck := cfg.Checkpoint; ck != nil {
-		if ck.Resume {
-			var st mcPayload
-			next, err := resumeSnapshot(ck, fp, cfg.Metrics, &st)
-			if err != nil {
-				return nil, err
-			}
-			if next > 0 {
-				stream.Restore(st.Stream)
-				res.TotalSC = st.TotalSC
-				res.Failures = st.Failures
-				if cfg.KeepSamples {
-					copy(res.Delays, st.Delays)
-					copy(res.Samples, st.Samples)
-				}
-				restoreMetrics(cfg.Metrics, st.Metrics, next)
-				start = next
-			}
-		}
-		ckpt = &ckptWriter{ck: ck, fp: fp, m: cfg.Metrics, payload: func(next int) any {
-			st := mcPayload{
-				Stream:   stream.State(),
-				TotalSC:  res.TotalSC,
-				Failures: res.Failures,
-				Metrics:  saveMetrics(cfg.Metrics),
-			}
-			if cfg.KeepSamples {
-				st.Delays = res.Delays[:next]
-				st.Samples = res.Samples[:next]
-			}
-			return st
-		}}
-	}
-
-	// A Limit-bounded shard evaluates only samples [start, limit): the
-	// sweep is capped at the cut, the journal flushes exactly there, and
-	// the caller gets ErrPartial instead of a result — the next leg
-	// resumes from the journal. sweepN == cfg.N means run to completion.
-	sweepN := cfg.N
-	if ck := cfg.Checkpoint; ck != nil && ck.Limit > 0 && ck.Limit < cfg.N {
-		sweepN = ck.Limit
-		if start >= sweepN {
-			return nil, fmt.Errorf("core: samples [0,%d) already durable in %s: %w", start, ck.Path, ErrPartial)
-		}
-	}
-
-	// Primary evaluation and policy recovery both live on the shared
-	// pathKernel; the adapters below only unbox this driver's per-worker
-	// state (scratch box + optional moment shard).
-	evalPrimary := func(ctx context.Context, i int, sc any) (mcEval, error) {
-		return kern.evalPrimary(ctx, i, &sc.(*mcWorkerState).box)
-	}
-	recoverFn := func(ctx context.Context, i int, _ any, cause error) (mcEval, error) {
-		return kern.recover(ctx, i, cause)
-	}
-
-	opts := cfg.runnerOptions()
-	opts.Start = start
-	opts.OnSkip = func(i int, err error) {
-		res.Failures.record(i, err)
-		class := ClassOther
-		var se *SampleError
-		if errors.As(err, &se) {
-			class = se.Class
-		}
-		cfg.Metrics.AddFailure(string(class))
-	}
-	if ckpt != nil {
-		opts.OnCheckpoint = ckpt.flush
-		opts.CheckpointEvery = cfg.Checkpoint.Every
-		opts.CheckpointInterval = cfg.Checkpoint.Interval
-	}
-
-	// Per-worker state; sharded runs register each worker's moment shard
-	// for the post-sweep merge.
 	var (
 		shardMu sync.Mutex
 		shards  []*stat.Moments
 	)
-	newState := func() any {
-		st := &mcWorkerState{box: kern.newBox()}
-		if sharded {
-			st.shard = new(stat.Moments)
-			shardMu.Lock()
-			shards = append(shards, st.shard)
-			shardMu.Unlock()
-		}
-		return st
-	}
-	evalFn := runner.WithRecovery(evalPrimary, recoverFn)
-	if sharded {
-		// Fold every delivered delay into the evaluating worker's shard.
-		// A run that later fails discards its result wholesale, so shard
-		// adds for never-delivered values are harmless.
-		inner := evalFn
-		evalFn = func(ctx context.Context, i int, sc any) (mcEval, error) {
-			v, err := inner(ctx, i, sc)
-			if err == nil {
-				sc.(*mcWorkerState).shard.Add(v.delay)
-			}
-			return v, err
-		}
-	}
-	err = runner.MapWorker(ctx, sweepN, opts,
-		newState,
-		evalFn,
-		func(i int, v mcEval) {
+	d := Driver[mcEval]{
+		Sample: pathSample(row, spec),
+		Add: func(i int, v mcEval) {
 			if sharded {
 				stream.AddQuantiles(v.delay)
 			} else {
 				stream.Add(v.delay)
 			}
 			res.TotalSC += v.sc
-			if v.degraded {
-				res.Failures.Degraded++
-			}
 			if cfg.KeepSamples {
 				res.Delays[i] = v.delay
 				res.Samples[i] = v.sample
 			}
-		})
+		},
+		Failures:    &res.Failures,
+		Fingerprint: fp,
+		Save: func(next int, m runner.Snapshot) any {
+			st := mcPayload{
+				Stream:   stream.State(),
+				TotalSC:  res.TotalSC,
+				Failures: res.Failures,
+				Metrics:  m,
+			}
+			if cfg.KeepSamples {
+				st.Delays = res.Delays[:next]
+				st.Samples = res.Samples[:next]
+			}
+			return st
+		},
+		Restore: func(next int, decode func(any) error) (runner.Snapshot, error) {
+			var st mcPayload
+			if err := decode(&st); err != nil {
+				return runner.Snapshot{}, err
+			}
+			stream.Restore(st.Stream)
+			res.TotalSC = st.TotalSC
+			res.Failures = st.Failures
+			if cfg.KeepSamples {
+				copy(res.Delays, st.Delays)
+				copy(res.Samples, st.Samples)
+			}
+			return st.Metrics, nil
+		},
+		injectFault: cfg.injectFault,
+	}
+	if sharded {
+		// Each worker folds the delays it evaluates into its own shard. A
+		// run that later fails discards its result wholesale, so shard
+		// adds for never-delivered values are harmless.
+		d.Worker = func() func(mcEval) {
+			sh := new(stat.Moments)
+			shardMu.Lock()
+			shards = append(shards, sh)
+			shardMu.Unlock()
+			return func(v mcEval) { sh.Add(v.delay) }
+		}
+	}
+	kern, err := NewKernel(cfg.RunConfig, []*Path{p}, d)
 	if err != nil {
+		return nil, err
+	}
+	if err := kern.Run(ctx, cfg.N); err != nil {
 		return nil, err
 	}
 	if sharded {
@@ -426,18 +369,6 @@ func (p *Path) runMonteCarlo(ctx context.Context, cfg MCConfig, fp checkpoint.Fi
 		for _, sh := range shards {
 			stream.MergeMoments(sh)
 		}
-	}
-	if ckpt != nil {
-		// One unconditional snapshot after the sweep: resuming a completed
-		// run restores the final state and evaluates nothing, which also
-		// makes kill/resume scripts race-free when the kill lands late.
-		ckpt.flush(sweepN)
-		if ckpt.err != nil {
-			return nil, fmt.Errorf("core: checkpoint write failed: %w", ckpt.err)
-		}
-	}
-	if sweepN < cfg.N {
-		return nil, fmt.Errorf("core: samples [0,%d) of %d durable in %s: %w", sweepN, cfg.N, cfg.Checkpoint.Path, ErrPartial)
 	}
 	if cfg.KeepSamples {
 		if len(res.Failures.SkippedIndices) > 0 {

@@ -10,9 +10,9 @@ import (
 )
 
 // RunConfig is the execution-policy block shared by every statistical
-// driver (MCConfig, SkewConfig, and future SSTA/grid drivers embed it):
-// how samples are scheduled, which engine evaluates them, and how the
-// run survives failures and crashes. The statistical question itself
+// driver (MCConfig, ISConfig, SkewConfig and ssta.Config embed it; the
+// sampling Kernel applies it): how samples are scheduled, which engine
+// evaluates them, and how the run survives failures and crashes. The statistical question itself
 // (sample count, sources, sampling plan) stays in the embedding config.
 //
 // Every knob here preserves the reproducibility contract: for a fixed
@@ -78,11 +78,13 @@ type RunConfig struct {
 	// cached and uncached runs produce bit-identical results.
 	MacroCache teta.MacroStore
 	// SampleTimeout, when positive, bounds every engine invocation with
-	// a watchdog deadline: an evaluation that has not returned after
-	// this long is abandoned, classified as FailTimeout, and handled by
-	// the OnFailure policy (Degrade retries each ladder rung with a
-	// fresh deadline), so one pathological sample cannot wedge the
-	// sweep.
+	// a watchdog deadline (Watchdog) — one per path a sample evaluates:
+	// each skew branch, each ssta block. An evaluation that has not
+	// returned after this long is abandoned, counted in
+	// Metrics.TimedOut, classified as FailTimeout, and handled by the
+	// OnFailure policy (Degrade retries each ladder rung with a fresh
+	// deadline), so one pathological sample cannot wedge the sweep.
+	// Canceling the run's context abandons a hung evaluation too.
 	SampleTimeout time.Duration
 }
 
@@ -103,16 +105,4 @@ func (c RunConfig) validate() error {
 		return fmt.Errorf("core: SampleTimeout must be >= 0, got %v", c.SampleTimeout)
 	}
 	return nil
-}
-
-// runnerOptions builds the runner.Options execution block (scheduling,
-// metrics, progress) for this config; the caller wires Start, OnSkip and
-// the checkpoint hooks.
-func (c RunConfig) runnerOptions() runner.Options {
-	return runner.Options{
-		Workers:   c.Workers,
-		BatchSize: c.BatchSize,
-		Metrics:   c.Metrics,
-		Progress:  c.Progress,
-	}
 }

@@ -103,3 +103,39 @@ func TestSkewShardedLimitBitIdentical(t *testing.T) {
 		t.Fatal("sharded skew summaries differ from uninterrupted run")
 	}
 }
+
+// TestISShardedLimitBitIdentical runs a non-adaptive importance-sampling
+// sweep as a chain of Limit-bounded legs over one journal: every
+// non-final leg returns ErrPartial and no result, and the completing
+// leg's estimate is bit-identical to an uninterrupted run.
+func TestISShardedLimitBitIdentical(t *testing.T) {
+	p := quickChain(t, []string{"INV", "INV"}, 6, false)
+	ref, err := p.ImportanceYieldCtx(context.Background(), isTestCfg(t, p, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	path := filepath.Join(t.TempDir(), "is.ckpt")
+	var got *ISResult
+	legs := 0
+	for limit := 15; got == nil; limit += 15 { // N=40: legs end at 15, 30, 45→done
+		legs++
+		cfg := isTestCfg(t, p, 1+legs%3)
+		cfg.Checkpoint = &checkpoint.Config{Path: path, Every: 4, Resume: true, Limit: limit}
+		res, err := p.ImportanceYieldCtx(context.Background(), cfg)
+		if err == nil {
+			got = res
+			continue
+		}
+		if !errors.Is(err, ErrPartial) {
+			t.Fatalf("leg ending at %d: %v", limit, err)
+		}
+		if res != nil {
+			t.Fatalf("partial leg ending at %d returned a result", limit)
+		}
+	}
+	if legs != 3 {
+		t.Fatalf("run took %d legs, want 3", legs)
+	}
+	sameISBits(t, got, ref)
+}

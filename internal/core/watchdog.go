@@ -7,15 +7,7 @@ import (
 	"time"
 
 	"lcsim/internal/runner"
-	"lcsim/internal/teta"
 )
-
-// scratchBox is the mutable per-worker holder of an engine scratch. The
-// indirection exists for the watchdog: a timed-out evaluation's goroutine
-// cannot be killed, so it is abandoned together with the scratch it was
-// given, and the box gets a fresh scratch for the worker's next sample —
-// the leaked evaluation can never race a live one.
-type scratchBox struct{ sc any }
 
 // scratchPool recycles one engine's scratch state across degrade-ladder
 // retries and watchdog replacements, so a burst of recoveries (or a
@@ -43,73 +35,48 @@ func (p *scratchPool) get() any { return p.pool.Get() }
 // put returns a scratch whose evaluation completed cleanly.
 func (p *scratchPool) put(sc any) { p.pool.Put(sc) }
 
-// evalPathDeadline runs eval — one synchronous engine invocation — under
-// the per-sample watchdog deadline d (d <= 0 runs eval inline, no
-// watchdog). On timeout the evaluation goroutine is abandoned (abandoned,
-// when non-nil, must replace whatever scratch the goroutine still owns),
-// the timeout metric is counted, and the returned error wraps
-// ErrSampleTimeout — classifying as FailTimeout and flowing through the
-// Skip/Degrade/FailFast policies like any other per-sample failure.
-// Cancellation of ctx also abandons the evaluation, so a hung engine
-// cannot delay a canceled run either.
-func evalPathDeadline(ctx context.Context, d time.Duration, name string, m *runner.Metrics, abandoned func(), eval func() (*PathEval, error)) (*PathEval, error) {
+// Watchdog runs eval — one synchronous evaluation — under the
+// per-sample deadline d; d <= 0 runs eval inline with no watchdog. On
+// timeout the evaluation goroutine is abandoned (abandoned, when
+// non-nil, must retire any state the goroutine still owns, such as its
+// scratch), m counts the timeout, and the error — labelled with name —
+// wraps ErrSampleTimeout, so it classifies as FailTimeout and flows
+// through the Skip/Degrade/FailFast policies like any other per-sample
+// failure. Canceling ctx also abandons the evaluation and returns
+// ctx.Err(), so a hung evaluation cannot delay a canceled run either.
+//
+// It is the one per-sample watchdog: the sampling Kernel applies it to
+// every engine invocation, and the bench and validation sweeps to each
+// of their evaluations.
+func Watchdog[T any](ctx context.Context, d time.Duration, name string, m *runner.Metrics, abandoned func(), eval func() (T, error)) (T, error) {
 	if d <= 0 {
 		return eval()
 	}
 	type outcome struct {
-		ev  *PathEval
+		v   T
 		err error
 	}
 	ch := make(chan outcome, 1) // buffered: the abandoned goroutine never blocks
 	go func() {
-		ev, err := eval()
-		ch <- outcome{ev, err}
+		v, err := eval()
+		ch <- outcome{v, err}
 	}()
 	timer := time.NewTimer(d)
 	defer timer.Stop()
+	var zero T
 	select {
 	case o := <-ch:
-		return o.ev, o.err
+		return o.v, o.err
 	case <-ctx.Done():
 		if abandoned != nil {
 			abandoned()
 		}
-		return nil, ctx.Err()
+		return zero, ctx.Err()
 	case <-timer.C:
 		if abandoned != nil {
 			abandoned()
 		}
 		m.AddTimeout(1)
-		return nil, fmt.Errorf("engine %s: no result after %v: %w", name, d, ErrSampleTimeout)
+		return zero, fmt.Errorf("%s: no result after %v: %w", name, d, ErrSampleTimeout)
 	}
-}
-
-// engineEvalDeadline evaluates one path sample through eng with the
-// worker's boxed scratch under the watchdog deadline. The scratch is read
-// out of the box before the evaluation starts; a timeout abandons it to
-// the hung goroutine and the box gets a replacement from the pool.
-func engineEvalDeadline(ctx context.Context, d time.Duration, eng Engine, pool *scratchPool, box *scratchBox, rs teta.RunSpec, m *runner.Metrics) (*PathEval, error) {
-	if d <= 0 {
-		return eng.EvalPath(box.sc, rs)
-	}
-	sc := box.sc
-	return evalPathDeadline(ctx, d, eng.Name(), m,
-		func() { box.sc = pool.get() },
-		func() (*PathEval, error) { return eng.EvalPath(sc, rs) })
-}
-
-// rungEvalDeadline evaluates one path sample through a degrade-ladder
-// rung under a fresh watchdog deadline, with scratch drawn from the
-// rung's pool. A cleanly returned scratch is recycled; an abandoned one
-// stays with the hung goroutine and never re-enters the pool.
-func rungEvalDeadline(ctx context.Context, d time.Duration, rung Engine, pool *scratchPool, rs teta.RunSpec, m *runner.Metrics) (*PathEval, error) {
-	sc := pool.get()
-	abandoned := false
-	ev, err := evalPathDeadline(ctx, d, rung.Name(), m,
-		func() { abandoned = true },
-		func() (*PathEval, error) { return rung.EvalPath(sc, rs) })
-	if !abandoned {
-		pool.put(sc)
-	}
-	return ev, err
 }

@@ -73,7 +73,7 @@ func TestSampleTimeoutDegradesToNextRung(t *testing.T) {
 				RunConfig: RunConfig{
 					Seed: 13, Workers: workers,
 					Engine: "test-hang-degrade", OnFailure: Degrade, Ladder: []string{EngineTetaExact},
-					SampleTimeout: 30 * time.Millisecond, Metrics: m,
+					SampleTimeout: raceSlowdown * 30 * time.Millisecond, Metrics: m,
 				},
 			})
 			if err != nil {
@@ -209,5 +209,61 @@ func TestSkewSampleTimeout(t *testing.T) {
 	}
 	if len(res.Failures.Classes) != 1 || res.Failures.Classes[0].Class != FailTimeout {
 		t.Fatalf("failure classes = %+v, want a single %s class", res.Failures.Classes, FailTimeout)
+	}
+}
+
+// TestWatchdog pins the one per-sample watchdog's contract. Hung
+// evaluations block until test cleanup and deadlines are either far
+// shorter than forever or far longer than any real evaluation, so no
+// case races the wall clock.
+func TestWatchdog(t *testing.T) {
+	release := make(chan struct{})
+	t.Cleanup(func() { close(release) })
+	hung := func() (int, error) {
+		<-release
+		return 0, fmt.Errorf("hang released")
+	}
+	quick := func() (int, error) { return 42, nil }
+	failing := func() (int, error) { return 0, ErrWaveformNaN }
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+
+	for _, tc := range []struct {
+		name      string
+		ctx       context.Context
+		d         time.Duration
+		eval      func() (int, error)
+		want      int
+		wantErr   error // nil: no error
+		abandoned bool
+		timedOut  int64
+	}{
+		// d <= 0 runs eval inline: not even a canceled ctx interrupts it.
+		{name: "inline/zero", ctx: canceled, d: 0, eval: quick, want: 42},
+		{name: "inline/negative", ctx: canceled, d: -time.Second, eval: failing, wantErr: ErrWaveformNaN},
+		{name: "result", ctx: context.Background(), d: time.Hour, eval: quick, want: 42},
+		{name: "error", ctx: context.Background(), d: time.Hour, eval: failing, wantErr: ErrWaveformNaN},
+		{name: "timeout", ctx: context.Background(), d: time.Millisecond, eval: hung, wantErr: ErrSampleTimeout, abandoned: true, timedOut: 1},
+		{name: "canceled", ctx: canceled, d: time.Hour, eval: hung, wantErr: context.Canceled, abandoned: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := &runner.Metrics{}
+			abandoned := false
+			got, err := Watchdog(tc.ctx, tc.d, "test", m, func() { abandoned = true }, tc.eval)
+			switch {
+			case tc.wantErr == nil && err != nil:
+				t.Fatalf("unexpected error %v", err)
+			case tc.wantErr != nil && !errors.Is(err, tc.wantErr):
+				t.Fatalf("error %v, want one wrapping %v", err, tc.wantErr)
+			case tc.wantErr == nil && got != tc.want:
+				t.Fatalf("value %d, want %d", got, tc.want)
+			}
+			if abandoned != tc.abandoned {
+				t.Fatalf("abandoned called = %v, want %v", abandoned, tc.abandoned)
+			}
+			if s := m.Snapshot(); s.TimedOut != tc.timedOut {
+				t.Fatalf("TimedOut = %d, want %d", s.TimedOut, tc.timedOut)
+			}
+		})
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"time"
 
 	"lcsim/internal/core"
 	"lcsim/internal/runner"
@@ -106,7 +105,13 @@ func ValidateExample2(o Ex2Options, lengthUm float64, engines []string) ([]Engin
 		if err != nil {
 			return nil, err
 		}
-		eval = withDeadline(o.SampleTimeout, eval)
+		// Each evaluation runs under the watchdog. The Example-2
+		// evaluators own no shared scratch, so an abandoned evaluation
+		// finishing late is harmless.
+		evalAt := func(ctx context.Context, i int) (float64, error) {
+			return core.Watchdog(ctx, o.SampleTimeout, "experiments", nil, nil,
+				func() (float64, error) { return eval(specs[i]) })
+		}
 		delays := make([]float64, len(specs))
 		var skipped int
 		if o.OnFailure == core.Skip {
@@ -123,7 +128,7 @@ func ValidateExample2(o Ex2Options, lengthUm float64, engines []string) ([]Engin
 				},
 				func() any { return nil },
 				runner.WithRecovery(
-					func(_ context.Context, i int, _ any) (float64, error) { return eval(specs[i]) },
+					func(ctx context.Context, i int, _ any) (float64, error) { return evalAt(ctx, i) },
 					func(_ context.Context, i int, _ any, cause error) (float64, error) {
 						return 0, runner.SkipSample(core.NewSampleError(i, cause))
 					}),
@@ -131,7 +136,7 @@ func ValidateExample2(o Ex2Options, lengthUm float64, engines []string) ([]Engin
 		} else {
 			err = runner.Map(context.Background(), len(specs),
 				runner.Options{Workers: o.Workers, BatchSize: o.BatchSize},
-				func(_ context.Context, i int) (float64, error) { return eval(specs[i]) },
+				evalAt,
 				func(i int, d float64) { delays[i] = d })
 		}
 		if err != nil {
@@ -141,37 +146,6 @@ func ValidateExample2(o Ex2Options, lengthUm float64, engines []string) ([]Engin
 	}
 	FinishDeltas(out)
 	return out, nil
-}
-
-// withDeadline bounds each evaluation of eval by the watchdog deadline
-// d (0 = no bound, eval is returned unchanged). On timeout the
-// evaluation goroutine is abandoned — the Example-2 evaluators own no
-// shared scratch, so a stray goroutine finishing late is harmless — and
-// the sample fails with core.ErrSampleTimeout so the OnFailure policy
-// classifies it as a timeout.
-func withDeadline(d time.Duration, eval func(rs teta.RunSpec) (float64, error)) func(rs teta.RunSpec) (float64, error) {
-	if d <= 0 {
-		return eval
-	}
-	type outcome struct {
-		v   float64
-		err error
-	}
-	return func(rs teta.RunSpec) (float64, error) {
-		done := make(chan outcome, 1)
-		go func() {
-			v, err := eval(rs)
-			done <- outcome{v, err}
-		}()
-		t := time.NewTimer(d)
-		defer t.Stop()
-		select {
-		case o := <-done:
-			return o.v, o.err
-		case <-t.C:
-			return 0, fmt.Errorf("experiments: no result after %v: %w", d, core.ErrSampleTimeout)
-		}
-	}
 }
 
 // summarizeDelivered summarizes the delivered entries of an aligned

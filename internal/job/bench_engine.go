@@ -108,11 +108,9 @@ func benchEngine(o experiments.Ex2Options, wire float64, name string, specs []te
 		err := runner.MapWorker(context.Background(), len(specs), opts,
 			func() any { return nil },
 			runner.WithRecovery(
-				func(_ context.Context, i int, _ any) (struct{}, error) {
-					err := evalDeadline(deadline, metrics, nil, func() error {
-						_, err := eval(specs[i])
-						return err
-					})
+				func(ctx context.Context, i int, _ any) (struct{}, error) {
+					_, err := core.Watchdog(ctx, deadline, "bench", metrics, nil,
+						func() (float64, error) { return eval(specs[i]) })
 					return struct{}{}, err
 				},
 				func(_ context.Context, i int, _ any, cause error) (struct{}, error) {

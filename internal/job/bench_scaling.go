@@ -2,11 +2,10 @@ package job
 
 // This file measures the worker-scaling section of BENCH_mc.json: the
 // per-sample cost of one teta.Stage sweep at a given worker count,
-// with the per-sample watchdog shared by every bench section.
+// each sample under core.Watchdog.
 
 import (
 	"context"
-	"fmt"
 	"runtime"
 	"time"
 
@@ -14,32 +13,6 @@ import (
 	"lcsim/internal/runner"
 	"lcsim/internal/teta"
 )
-
-// evalDeadline bounds one synchronous benchmark evaluation by the
-// watchdog deadline d (0 = no bound). On timeout the evaluation
-// goroutine is abandoned — abandoned (if non-nil) must retire any
-// scratch state the stray goroutine still owns — and the sample fails
-// with core.ErrSampleTimeout so the sweep's skip path classifies it as
-// a timeout.
-func evalDeadline(d time.Duration, m *runner.Metrics, abandoned func(), eval func() error) error {
-	if d <= 0 {
-		return eval()
-	}
-	done := make(chan error, 1)
-	go func() { done <- eval() }()
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case err := <-done:
-		return err
-	case <-t.C:
-		if abandoned != nil {
-			abandoned()
-		}
-		m.AddTimeout(1)
-		return fmt.Errorf("bench: no result after %v: %w", d, core.ErrSampleTimeout)
-	}
-}
 
 // benchBox holds one worker's stage scratch behind a replaceable slot:
 // when the watchdog abandons a hung evaluation, the stray goroutine
@@ -70,14 +43,11 @@ func benchStage(st *teta.Stage, specs []teta.RunSpec, workers, batch int, engine
 			},
 			func() *benchBox { return &benchBox{sc: st.NewScratch()} },
 			runner.WithRecovery(
-				func(_ context.Context, i int, box *benchBox) (struct{}, error) {
+				func(ctx context.Context, i int, box *benchBox) (struct{}, error) {
 					sc := box.sc
-					err := evalDeadline(deadline, metrics,
+					_, err := core.Watchdog(ctx, deadline, "bench", metrics,
 						func() { box.sc = st.NewScratch() },
-						func() error {
-							_, err := st.RunWith(sc, specs[i])
-							return err
-						})
+						func() (*teta.Result, error) { return st.RunWith(sc, specs[i]) })
 					return struct{}{}, err
 				},
 				func(_ context.Context, i int, _ *benchBox, cause error) (struct{}, error) {

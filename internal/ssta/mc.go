@@ -2,11 +2,8 @@ package ssta
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"strings"
-	"time"
 
 	"lcsim/internal/checkpoint"
 	"lcsim/internal/core"
@@ -44,20 +41,12 @@ func (r *MCResult) SinkSummary(net string) (stat.Summary, bool) {
 	return stat.Summary{}, false
 }
 
-// sampleEval carries one sample's outcome through the runner: the
+// sampleEval carries one sample's outcome to the ordered drain: the
 // arrival at every sink (SinkBlocks order) and their max.
 type sampleEval struct {
 	arrivals []float64
 	chip     float64
 	sc       int
-	degraded bool
-}
-
-// mcState is the per-worker evaluation state: one scratch per distinct
-// model, replaceable wholesale when a watchdog timeout abandons an
-// evaluation that still owns them.
-type mcState struct {
-	scratch []*core.PathScratch
 }
 
 // mcPayload is the driver state inside an ssta-mc checkpoint snapshot: a
@@ -101,11 +90,12 @@ func engineName(name string) string {
 // engine registry (one EvalPath per distinct cell chain — the
 // content-keyed cache works per sample too), per-entry suffix delays are
 // summed from the measured stage delays, and scalar arrivals propagate
-// through the block graph with the exact max. The embedded RunConfig
-// applies in full: workers/batching (bit-identical results at any
-// count — accumulation happens on the ordered drain), OnFailure
-// (skip/degrade ladder), SampleTimeout watchdog, and the checkpoint
-// journal.
+// through the block graph with the exact max. The sampling runs on
+// core's Kernel, so the embedded RunConfig applies in full:
+// workers/batching (bit-identical results at any count — accumulation
+// happens on the ordered drain), OnFailure (a Degrade rung re-evaluates
+// every block of the sample), the SampleTimeout watchdog on every block
+// evaluation, and the checkpoint journal with Checkpoint.Limit shards.
 func RunMC(ctx context.Context, c *iscas.Circuit, cfg Config, n int) (*MCResult, error) {
 	cfg.setDefaults()
 	if err := cfg.validate(); err != nil {
@@ -129,23 +119,11 @@ func RunMC(ctx context.Context, c *iscas.Circuit, cfg Config, n int) (*MCResult,
 		return nil, err
 	}
 	order := modelOrder(g, models)
-
-	// Resolve the primary engine (and, under Degrade, the ladder) per
-	// distinct model: engines bind to a path.
-	engines := make([]core.Engine, len(order))
-	for i, m := range order {
-		if engines[i], err = m.Path.Engine(cfg.Engine); err != nil {
-			return nil, err
-		}
-	}
-	var ladders [][]core.Engine
-	if cfg.OnFailure == core.Degrade {
-		ladders = make([][]core.Engine, len(order))
-		for i, m := range order {
-			if ladders[i], err = m.Path.EngineLadder(engines[i], cfg.Ladder); err != nil {
-				return nil, err
-			}
-		}
+	paths := make([]*core.Path, len(order))
+	modelIdx := make(map[string]int, len(order))
+	for mi, m := range order {
+		paths[mi] = m.Path
+		modelIdx[m.Key] = mi
 	}
 
 	// The deterministic sample plan: LHS rows over the sources,
@@ -170,30 +148,18 @@ func RunMC(ctx context.Context, c *iscas.Circuit, cfg Config, n int) (*MCResult,
 	}
 	chipStream := stat.NewStreamSummary()
 
-	// evalModels runs all distinct blocks at one sample through the given
-	// per-model engines (scratch may be nil) and propagates arrivals.
-	evalModels := func(engs []core.Engine, scratch []*core.PathScratch, rs teta.RunSpec) (sampleEval, error) {
+	// sample evaluates every distinct block at sample i (kernel path mi
+	// is model mi) and propagates the arrivals.
+	sample := func(i int, eval core.EvalFunc) (sampleEval, error) {
+		rs := rowSpec(i)
 		suffix := make([][]float64, len(order))
 		sc := 0
 		for mi, m := range order {
-			var psc *core.PathScratch
-			if scratch != nil {
-				psc = scratch[mi]
-			}
-			var ev *core.PathEval
-			var err error
-			if psc != nil {
-				ev, err = engs[mi].EvalPath(psc, rs)
-			} else {
-				ev, err = engs[mi].EvalPath(nil, rs)
-			}
+			ev, err := eval(mi, rs)
 			if err != nil {
 				return sampleEval{}, fmt.Errorf("block %q: %w", m.Key, err)
 			}
 			sc += ev.SCIters
-			cfg.Metrics.AddSC(ev.SCIters)
-			cfg.Metrics.AddSolves(ev.LinearSolves)
-			cfg.Metrics.AddStageEvals(len(m.Path.Stages))
 			// Suffix sums: delay from stage j's input to the block output.
 			suf := make([]float64, len(ev.StageDelays))
 			acc := 0.0
@@ -202,10 +168,6 @@ func RunMC(ctx context.Context, c *iscas.Circuit, cfg Config, n int) (*MCResult,
 				suf[j] = acc
 			}
 			suffix[mi] = suf
-		}
-		modelIdx := map[string]int{}
-		for mi, m := range order {
-			modelIdx[m.Key] = mi
 		}
 		arr := map[string]float64{}
 		for _, b := range g.Blocks {
@@ -230,191 +192,51 @@ func RunMC(ctx context.Context, c *iscas.Circuit, cfg Config, n int) (*MCResult,
 		return se, nil
 	}
 
-	newScratch := func() []*core.PathScratch {
-		out := make([]*core.PathScratch, len(order))
-		for mi, m := range order {
-			out[mi] = m.Path.NewScratch()
-		}
-		return out
-	}
-
-	// Primary evaluation under the watchdog deadline. A timed-out
-	// evaluation's goroutine may still own the worker's scratch, so the
-	// state swaps in fresh scratch before the worker continues.
-	evalPrimary := func(ctx context.Context, i int, st *mcState) (sampleEval, error) {
-		rs := rowSpec(i)
-		if cfg.SampleTimeout <= 0 {
-			return evalModels(engines, st.scratch, rs)
-		}
-		type outcome struct {
-			v   sampleEval
-			err error
-		}
-		ch := make(chan outcome, 1)
-		scratch := st.scratch
-		go func() {
-			v, err := evalModels(engines, scratch, rs)
-			ch <- outcome{v, err}
-		}()
-		timer := time.NewTimer(cfg.SampleTimeout)
-		defer timer.Stop()
-		select {
-		case o := <-ch:
-			return o.v, o.err
-		case <-timer.C:
-			st.scratch = newScratch() // the abandoned goroutine keeps the old one
-			return sampleEval{}, fmt.Errorf("ssta: sample exceeded %v: %w", cfg.SampleTimeout, core.ErrSampleTimeout)
-		}
-	}
-
-	// recover implements OnFailure. Degrade re-evaluates the whole sample
-	// — every distinct block — on each ladder rung in ascending cost
-	// order, so a recovered sample is a pure function of (index, cause)
-	// and results stay bit-identical at any worker count.
-	recoverFn := func(ctx context.Context, i int, _ *mcState, cause error) (sampleEval, error) {
-		switch cfg.OnFailure {
-		case core.Skip:
-			return sampleEval{}, runner.SkipSample(core.NewSampleError(i, cause))
-		case core.Degrade:
-			rs := rowSpec(i)
-			nrungs := 0
-			if len(ladders) > 0 {
-				nrungs = len(ladders[0])
-			}
-			for r := 0; r < nrungs; r++ {
-				rung := make([]core.Engine, len(order))
-				ok := true
-				for mi := range order {
-					if r >= len(ladders[mi]) {
-						ok = false
-						break
-					}
-					rung[mi] = ladders[mi][r]
-				}
-				if !ok {
-					break
-				}
-				v, rerr := evalModels(rung, nil, rs)
-				if rerr != nil {
-					cause = fmt.Errorf("%s rung also failed: %w (previous: %v)", rung[0].Name(), rerr, cause)
-					continue
-				}
-				cfg.Metrics.AddDegraded(1)
-				v.degraded = true
-				return v, nil
-			}
-			return sampleEval{}, runner.SkipSample(core.NewSampleError(i, cause))
-		default:
-			return sampleEval{}, core.NewSampleError(i, cause)
-		}
-	}
-
-	// Durable journal: restore a matching snapshot's prefix, flush
-	// prefix-consistent cuts from the ordered-delivery goroutine.
-	fp := mcFingerprint(c, g, cfg, n)
-	start := 0
-	var flushErr error
-	flush := func(int) {}
-	if ck := cfg.Checkpoint; ck != nil {
-		if ck.Resume {
-			snap, _, err := checkpoint.Load(ck.Path, cfg.Metrics)
-			switch {
-			case checkpoint.IsNotExist(err):
-			case err != nil:
-				return nil, err
-			default:
-				if err := fp.Check(snap.Fingerprint); err != nil {
-					return nil, fmt.Errorf("ssta: cannot resume %s: %w", ck.Path, err)
-				}
-				var st mcPayload
-				if err := json.Unmarshal(snap.State, &st); err != nil {
-					return nil, fmt.Errorf("ssta: %s: %w: state payload: %v", ck.Path, checkpoint.ErrCorruptCheckpoint, err)
-				}
-				if snap.Next > 0 {
-					if len(st.Sinks) != len(sinkStreams) {
-						return nil, fmt.Errorf("ssta: %s: snapshot has %d sinks, run has %d", ck.Path, len(st.Sinks), len(sinkStreams))
-					}
-					for i := range sinkStreams {
-						sinkStreams[i].Restore(st.Sinks[i])
-					}
-					chipStream.Restore(st.Chip)
-					res.TotalSC = st.TotalSC
-					res.Failures = st.Failures
-					cfg.Metrics.Merge(st.Metrics)
-					cfg.Metrics.AddResumed(snap.Next)
-					start = snap.Next
-				}
-			}
-		}
-		flush = func(next int) {
-			if flushErr != nil {
-				return
-			}
-			st := mcPayload{
-				Chip:     chipStream.State(),
-				TotalSC:  res.TotalSC,
-				Failures: res.Failures,
-			}
-			if cfg.Metrics != nil {
-				st.Metrics = cfg.Metrics.Snapshot()
-				st.Metrics.Resumed = 0
-			}
-			for _, s := range sinkStreams {
-				st.Sinks = append(st.Sinks, s.State())
-			}
-			body, err := json.Marshal(st)
-			if err == nil {
-				err = checkpoint.Save(cfg.Checkpoint.Path, &checkpoint.Snapshot{Fingerprint: fp, Next: next, State: body}, cfg.Metrics)
-			}
-			if err != nil {
-				flushErr = err
-			}
-		}
-	}
-
-	opts := runner.Options{
-		Workers:   cfg.Workers,
-		BatchSize: cfg.BatchSize,
-		Metrics:   cfg.Metrics,
-		Progress:  cfg.Progress,
-		Start:     start,
-		OnSkip: func(i int, err error) {
-			res.Failures.Record(i, err)
-			class := core.ClassOther
-			var se *core.SampleError
-			if errors.As(err, &se) {
-				class = se.Class
-			}
-			cfg.Metrics.AddFailure(string(class))
-		},
-	}
-	if cfg.Checkpoint != nil {
-		opts.OnCheckpoint = flush
-		opts.CheckpointEvery = cfg.Checkpoint.Every
-		opts.CheckpointInterval = cfg.Checkpoint.Interval
-	}
-
-	err = runner.MapWorker(ctx, n, opts,
-		func() *mcState { return &mcState{scratch: newScratch()} },
-		runner.WithRecovery(evalPrimary, recoverFn),
-		func(i int, v sampleEval) {
+	kern, err := core.NewKernel(cfg.RunConfig, paths, core.Driver[sampleEval]{
+		Sample: sample,
+		Add: func(_ int, v sampleEval) {
 			for k, a := range v.arrivals {
 				sinkStreams[k].Add(a)
 			}
 			chipStream.Add(v.chip)
 			res.TotalSC += v.sc
-			if v.degraded {
-				res.Failures.Degraded++
+		},
+		Failures:    &res.Failures,
+		Fingerprint: mcFingerprint(c, g, cfg, n),
+		Save: func(_ int, m runner.Snapshot) any {
+			st := mcPayload{
+				Chip:     chipStream.State(),
+				TotalSC:  res.TotalSC,
+				Failures: res.Failures,
+				Metrics:  m,
 			}
-		})
+			for _, s := range sinkStreams {
+				st.Sinks = append(st.Sinks, s.State())
+			}
+			return st
+		},
+		Restore: func(_ int, decode func(any) error) (runner.Snapshot, error) {
+			var st mcPayload
+			if err := decode(&st); err != nil {
+				return runner.Snapshot{}, err
+			}
+			if len(st.Sinks) != len(sinkStreams) {
+				return runner.Snapshot{}, fmt.Errorf("ssta: %s: snapshot has %d sinks, run has %d", cfg.Checkpoint.Path, len(st.Sinks), len(sinkStreams))
+			}
+			for i := range sinkStreams {
+				sinkStreams[i].Restore(st.Sinks[i])
+			}
+			chipStream.Restore(st.Chip)
+			res.TotalSC = st.TotalSC
+			res.Failures = st.Failures
+			return st.Metrics, nil
+		},
+	})
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Checkpoint != nil {
-		flush(n)
-		if flushErr != nil {
-			return nil, fmt.Errorf("ssta: checkpoint write failed: %w", flushErr)
-		}
+	if err := kern.Run(ctx, n); err != nil {
+		return nil, err
 	}
 	for k, bi := range g.SinkBlocks {
 		res.Sinks = append(res.Sinks, MCSinkResult{

@@ -11,10 +11,13 @@
 //
 // Validation: RunMC is the brute-force reference — it evaluates every
 // distinct block nonlinearly per sample through the engine registry and
-// propagates scalar arrivals with the exact max, sharing the runner
-// pool, the failure policies, and the checkpoint journal via the same
-// core.RunConfig. Run vs RunMC therefore isolates the SSTA
-// approximation error (first-order GA linearization plus Clark's max).
+// propagates scalar arrivals with the exact max. It runs on core's
+// sampling Kernel under the same core.RunConfig as the path drivers:
+// the runner pool, the failure policies and degrade ladder, the
+// SampleTimeout watchdog on every block evaluation, and the checkpoint
+// journal with Checkpoint.Limit shards. Run vs RunMC therefore isolates
+// the SSTA approximation error (first-order GA linearization plus
+// Clark's max).
 package ssta
 
 import (

@@ -3,8 +3,10 @@ package ssta
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
@@ -12,6 +14,8 @@ import (
 	"lcsim/internal/core"
 	"lcsim/internal/device"
 	"lcsim/internal/iscas"
+	"lcsim/internal/runner"
+	"lcsim/internal/teta"
 )
 
 func s27Mapped(t *testing.T) *iscas.Circuit {
@@ -286,23 +290,93 @@ func TestMCCheckpointResume(t *testing.T) {
 	}
 }
 
+// hangEngine evaluates whole paths by blocking until its test ends — the
+// pathological sample the watchdog exists for — while stage evaluations
+// (block characterization's gradient analysis) delegate to teta-fast.
+type hangEngine struct {
+	core.Engine
+	name    string
+	release chan struct{}
+}
+
+func (h *hangEngine) Name() string { return h.name }
+func (h *hangEngine) EvalPath(any, teta.RunSpec) (*core.PathEval, error) {
+	<-h.release
+	return nil, fmt.Errorf("hang released")
+}
+
+// registerHangEngine registers a hangEngine for every path and releases
+// its abandoned evaluations at test cleanup.
+func registerHangEngine(t *testing.T, name string) {
+	t.Helper()
+	release := make(chan struct{})
+	t.Cleanup(func() { close(release) })
+	core.RegisterEngine(name, 1, false, func(p *core.Path) (core.Engine, error) {
+		fast, err := p.Engine(core.EngineTetaFast)
+		if err != nil {
+			return nil, err
+		}
+		return &hangEngine{Engine: fast, name: name, release: release}, nil
+	})
+}
+
+// TestSampleTimeoutSkips drives RunMC through a primary engine that never
+// returns: under Skip every sample times out and is skipped; under
+// Degrade every sample times out once and recovers on the teta-exact
+// rung, bit-identical to a plain teta-exact run at any worker count.
 func TestSampleTimeoutSkips(t *testing.T) {
 	c := s27Mapped(t)
-	cfg := testConfig(2)
-	cfg.OnFailure = core.Skip
-	cfg.SampleTimeout = time.Nanosecond // every sample trips the watchdog
-	mc, err := RunMC(context.Background(), c, cfg, 8)
+	registerHangEngine(t, "test-hang-ssta")
+	exact := testConfig(2)
+	exact.Engine = core.EngineTetaExact
+	ref, err := RunMC(context.Background(), c, exact, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mc.Failures.Skipped != 8 {
-		t.Fatalf("skipped %d of 8, want all", mc.Failures.Skipped)
-	}
-	if len(mc.Failures.Classes) == 0 || mc.Failures.Classes[0].Class != core.FailTimeout {
-		t.Fatalf("failure classes %+v, want timeout", mc.Failures.Classes)
-	}
-	if mc.Chip.N != 0 {
-		t.Fatalf("chip summary has %d samples, want 0", mc.Chip.N)
+	for _, tc := range []struct {
+		name    string
+		workers int
+		policy  core.FailurePolicy
+		ladder  []string
+	}{
+		{"skip", 2, core.Skip, nil},
+		{"degrade/workers=1", 1, core.Degrade, []string{core.EngineTetaExact}},
+		{"degrade/workers=4", 4, core.Degrade, []string{core.EngineTetaExact}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := &runner.Metrics{}
+			cfg := testConfig(tc.workers)
+			cfg.Engine = "test-hang-ssta"
+			cfg.OnFailure = tc.policy
+			cfg.Ladder = tc.ladder
+			cfg.SampleTimeout = raceSlowdown * 100 * time.Millisecond // far above any real block evaluation
+			cfg.Metrics = m
+			mc, err := RunMC(context.Background(), c, cfg, 8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s := m.Snapshot(); s.TimedOut != 8 {
+				t.Fatalf("TimedOut = %d, want 8", s.TimedOut)
+			}
+			if tc.policy == core.Skip {
+				if mc.Failures.Skipped != 8 {
+					t.Fatalf("skipped %d of 8, want all", mc.Failures.Skipped)
+				}
+				if len(mc.Failures.Classes) == 0 || mc.Failures.Classes[0].Class != core.FailTimeout {
+					t.Fatalf("failure classes %+v, want timeout", mc.Failures.Classes)
+				}
+				if mc.Chip.N != 0 {
+					t.Fatalf("chip summary has %d samples, want 0", mc.Chip.N)
+				}
+				return
+			}
+			if mc.Failures.Degraded != 8 || mc.Failures.Skipped != 0 {
+				t.Fatalf("degraded=%d skipped=%d, want 8/0", mc.Failures.Degraded, mc.Failures.Skipped)
+			}
+			if !reflect.DeepEqual(mc.Chip, ref.Chip) || !reflect.DeepEqual(mc.Sinks, ref.Sinks) {
+				t.Fatalf("degraded run differs from a plain teta-exact run:\n got %+v\nwant %+v", mc.Chip, ref.Chip)
+			}
+		})
 	}
 }
 
