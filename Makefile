@@ -1,13 +1,14 @@
 GO ?= go
 
-.PHONY: check vet staticcheck build test race race-short timeout-repeat bench bench-json checkpoint-resume scaling-smoke yield-smoke ssta-smoke cache-smoke daemon-smoke fmt
+.PHONY: check vet staticcheck build test race race-short timeout-repeat perfbench-test bench bench-json checkpoint-resume scaling-smoke yield-smoke ssta-smoke cache-smoke daemon-smoke fmt
 
 # Full CI gate: vet + staticcheck, build, race-enabled tests (full +
-# short modes), repeated watchdog tests, paper benchmarks, crash-safety
+# short modes), repeated watchdog tests, the benchmark program's tests,
+# paper benchmarks, crash-safety
 # kill/resume gate, multi-core scaling smoke, importance-sampling yield gate, full-chip
 # SSTA gate, warm model-cache gate. Run before every merge (see README
 # "Failure policy" / pre-merge gate).
-check: vet staticcheck build race race-short timeout-repeat bench checkpoint-resume scaling-smoke yield-smoke ssta-smoke cache-smoke daemon-smoke
+check: vet staticcheck build race race-short timeout-repeat perfbench-test bench checkpoint-resume scaling-smoke yield-smoke ssta-smoke cache-smoke daemon-smoke
 
 vet:
 	$(GO) vet ./...
@@ -38,6 +39,13 @@ race-short:
 # so a watchdog that races its evaluation fails before merge.
 timeout-repeat:
 	$(GO) test -race -count=20 -run SampleTimeout ./internal/core ./internal/ssta
+
+# Tests of the benchmark program (perfbench is a Go module of its own, so
+# `go test ./...` at the root skips it): its output checks and
+# TestReplayFollowsCore, which fails when core's path loop changes
+# without the benchmark's traced replay of it.
+perfbench-test:
+	cd perfbench && $(GO) test ./...
 
 # One iteration of every paper table/figure benchmark (smoke, not timing).
 bench:

@@ -146,6 +146,17 @@
 // its config and runs unmodified against any registered backend; "lcsim
 // validate" cross-checks two or more engines on the same sample set.
 //
+// A TETA stage transient runs a fixed TStop/DT step window unless its
+// teta.RunSpec carries a measurement horizon (teta.Stop): then the step
+// loop ends once the output has made its first 10%, 50% and 90%
+// crossings. The recorded waveform is the bit-identical prefix of the
+// full-window run, so the measured 50% crossing and slew do not change.
+// core sets the horizon wherever nothing reads the waveform past those
+// crossings — every Gradient Analysis stage simulation (hence all of
+// SSTA characterization) and the final stage of every path sample — and
+// leaves it off for intermediate stages, whose full waveform drives the
+// next stage. spice-golden ignores it.
+//
 // # Full-chip statistical STA
 //
 // internal/ssta lifts the path-level statistics to chip level: it

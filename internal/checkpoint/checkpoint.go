@@ -189,7 +189,8 @@ func rename(oldpath, newpath string, m *runner.Metrics) error {
 
 // Save writes snap to path atomically: marshal, CRC, write to a temp
 // file in the same directory, fsync, then rotate the current snapshot
-// (if any) to BakPath and rename the temp file into place. A crash at
+// (if any, and only if it verifies) to BakPath and rename the temp file
+// into place. A crash at
 // any instant leaves either the old snapshot, the new one, or the old
 // one under .bak — never a half-written file that parses. Rename
 // retries are counted on m (nil = uncounted).
@@ -229,9 +230,12 @@ func Save(path string, snap *Snapshot, m *runner.Metrics) error {
 	if err := tmp.Close(); err != nil {
 		return fmt.Errorf("checkpoint: close %s: %w", tmpName, err)
 	}
-	// Rotate the previous good snapshot to .bak so a corrupt new file
-	// (torn disk, bad sector) still leaves a recoverable generation.
-	if _, err := fsys.Stat(path); err == nil {
+	// Rotate the previous snapshot to .bak so a corrupt new file (torn
+	// disk, bad sector) still leaves a recoverable generation — but only
+	// when it verifies: rotating a torn primary would overwrite the last
+	// good generation, and a second torn write of the same snapshot then
+	// leaves no generation at all.
+	if _, err := loadOne(path); err == nil {
 		if err := rename(path, BakPath(path), m); err != nil {
 			return fmt.Errorf("checkpoint: rotate %s: %w", path, err)
 		}

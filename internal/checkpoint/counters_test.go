@@ -81,3 +81,26 @@ func TestRenameRetryExhausted(t *testing.T) {
 		t.Fatalf("CheckpointRenameRetries = %d, want %d", got, renameAttempts-1)
 	}
 }
+
+// TestTornRewriteKeepsGoodGeneration: a torn write persists a corrupt
+// snapshot and reports success, and a job that resumes from .bak and
+// flushes the same snapshot again tears it the same way. Save must not
+// rotate the torn primary over the good .bak, or both generations end up
+// holding the same torn bytes and the journal is lost.
+func TestTornRewriteKeepsGoodGeneration(t *testing.T) {
+	prev := SetFS(faultinj.Inject(faultinj.OS{}, faultinj.NewSchedule(1).
+		RuleAt(faultinj.OpWrite, faultinj.KindTorn, 1).
+		RuleAt(faultinj.OpWrite, faultinj.KindTorn, 2)))
+	defer SetFS(prev)
+
+	path := filepath.Join(t.TempDir(), "c.ckpt")
+	for _, next := range []int{10, 20, 20} { // writes 1 and 2 tear
+		if err := Save(path, testSnap(next), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap, fromBak, err := Load(path, nil)
+	if err != nil || !fromBak || snap.Next != 10 {
+		t.Fatalf("Load = (%v, %v, %v), want the good .bak generation Next=10", snap, fromBak, err)
+	}
+}

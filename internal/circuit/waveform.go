@@ -145,9 +145,7 @@ func (p *PWL) CrossTime(level float64, dir int) float64 {
 // the 50% crossing time and the 10–90% slew extrapolated to 0–100%.
 // vLow and vHigh give the swing endpoints; dir is +1 rising, -1 falling.
 func (p *PWL) MeasureSatRamp(vLow, vHigh float64, dir int) (cross50, slew float64) {
-	mid := 0.5 * (vLow + vHigh)
-	l10 := vLow + 0.1*(vHigh-vLow)
-	l90 := vLow + 0.9*(vHigh-vLow)
+	l10, mid, l90 := SatRampLevels(vLow, vHigh)
 	if dir < 0 {
 		l10, l90 = l90, l10
 	}
@@ -156,6 +154,12 @@ func (p *PWL) MeasureSatRamp(vLow, vHigh float64, dir int) (cross50, slew float6
 	t90 := p.CrossTime(l90, dir)
 	slew = math.Abs(t90-t10) / 0.8
 	return cross50, slew
+}
+
+// SatRampLevels returns the 10%, 50% and 90% levels of the swing from
+// vLow to vHigh: the crossings MeasureSatRamp reads.
+func SatRampLevels(vLow, vHigh float64) (l10, mid, l90 float64) {
+	return vLow + 0.1*(vHigh-vLow), 0.5 * (vLow + vHigh), vLow + 0.9*(vHigh-vLow)
 }
 
 // Compress returns a PWL with redundant breakpoints removed: the result

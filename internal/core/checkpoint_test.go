@@ -43,6 +43,23 @@ func mcCheckpointCfg(p *Path, workers int, keep bool) MCConfig {
 	}
 }
 
+// cancelOnceJournaled returns a Progress hook that cancels the run once
+// at least cancelAt samples have completed and the journal at path
+// exists. done counts completions, which run ahead of the ordered prefix
+// the journal flushes while one worker is descheduled, so a cancel at a
+// bare count can land before the first flush; Progress and the flush
+// share the collector goroutine, so the file check is race-free.
+func cancelOnceJournaled(cancel context.CancelFunc, path string, cancelAt int) func(done, total int) {
+	return func(done, total int) {
+		if done < cancelAt {
+			return
+		}
+		if _, err := os.Stat(path); err == nil {
+			cancel()
+		}
+	}
+}
+
 // interruptedRun runs cfg with checkpointing until roughly cancelAt
 // samples have completed, then cancels — standing in for a SIGKILL — and
 // returns the checkpoint path. The run must NOT have completed.
@@ -51,11 +68,7 @@ func interruptedRun(t *testing.T, p *Path, cfg MCConfig, path string, cancelAt i
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	cfg.Checkpoint = &checkpoint.Config{Path: path, Every: 5}
-	cfg.Progress = func(done, total int) {
-		if done >= cancelAt {
-			cancel()
-		}
-	}
+	cfg.Progress = cancelOnceJournaled(cancel, path, cancelAt)
 	if _, err := p.MonteCarloCtx(ctx, cfg); err == nil {
 		t.Fatal("interrupted run unexpectedly completed; cannot exercise resume")
 	}
@@ -285,11 +298,7 @@ func TestSkewCheckpointResumeBitIdentical(t *testing.T) {
 	defer cancel()
 	ic := cfg()
 	ic.Checkpoint = &checkpoint.Config{Path: path, Every: 3}
-	ic.Progress = func(done, total int) {
-		if done >= 6 {
-			cancel()
-		}
-	}
+	ic.Progress = cancelOnceJournaled(cancel, path, 6)
 	if _, err := pp.MonteCarloSkewCtx(ctx, ic); err == nil {
 		t.Fatal("interrupted skew run unexpectedly completed")
 	}

@@ -39,9 +39,12 @@ type Engine interface {
 	// value must not be shared between concurrent evaluations.
 	NewScratch() any
 	// EvalStage runs stage i for an arbitrary input waveform at sample rs
-	// and returns the measured output ramp abstraction plus the full
-	// output waveform. rising reports the *input* edge direction; sc is a
-	// value from NewScratch or nil.
+	// and returns the measured output ramp abstraction plus the output
+	// waveform. rising reports the *input* edge direction; sc is a value
+	// from NewScratch or nil. The waveform ends at the measurement
+	// horizon (teta.Stop) when rs.Stop is set or i is the path's final
+	// stage, whose waveform nothing downstream consumes; the measured
+	// ramp is the same either way.
 	EvalStage(sc any, i int, rs teta.RunSpec, in circuit.Waveform, rising bool) (StageDelayResult, *circuit.PWL, error)
 	// EvalPath propagates the path's saturated-ramp stimulus through
 	// every stage at sample rs (§4.3.1's inner loop).
@@ -227,21 +230,36 @@ func (e *pathEngine) NewScratch() any {
 // ErrWaveformNaN regardless of backend.
 func (e *pathEngine) EvalStage(sc any, i int, rs teta.RunSpec, in circuit.Waveform, rising bool) (StageDelayResult, *circuit.PWL, error) {
 	st := e.p.Stages[i]
+	if i == len(e.p.Stages)-1 {
+		rs.Stop = e.p.stageStop(i, rising)
+	}
 	wf, iters, solves, err := e.wave(sc, i, rs, in)
 	if err != nil {
 		return StageDelayResult{}, nil, fmt.Errorf("stage %s: %w", st.Name, err)
 	}
-	outRising := rising != st.Invert
-	dir := -1
-	if outRising {
-		dir = +1
-	}
-	vdd := e.p.Tech.VDD
-	cross, slew := wf.MeasureSatRamp(0, vdd, dir)
+	cross, slew := wf.MeasureSatRamp(0, e.p.Tech.VDD, e.p.outDir(i, rising))
 	if math.IsNaN(cross) || math.IsNaN(slew) || slew <= 0 {
 		return StageDelayResult{}, nil, fmt.Errorf("stage %s: %w (cross=%g slew=%g); increase TStop", st.Name, ErrWaveformNaN, cross, slew)
 	}
 	return StageDelayResult{Cross50: cross, Slew: slew, SCIters: iters, Solves: solves}, wf, nil
+}
+
+// outDir is the direction of stage i's output edge (+1 rising, -1
+// falling) for an input edge in direction rising.
+func (p *Path) outDir(i int, rising bool) int {
+	if rising != p.Stages[i].Invert {
+		return +1
+	}
+	return -1
+}
+
+// stageStop is stage i's measurement horizon: its output port at the
+// 10/50/90% levels EvalStage measures, in the output edge's direction.
+// A run stopped there measures the same Cross50 and Slew as a
+// full-window run, bit for bit.
+func (p *Path) stageStop(i int, rising bool) teta.Stop {
+	l10, mid, l90 := circuit.SatRampLevels(0, p.Tech.VDD)
+	return teta.Stop{Port: p.Stages[i].OutPort, Dir: p.outDir(i, rising), Levels: [3]float64{l10, mid, l90}}
 }
 
 // EvalPath is the stage-by-stage propagation loop shared by every

@@ -124,8 +124,11 @@ func (p *Path) GradientAnalysis(cfg GAConfig) (*GAResult, error) {
 // difference per variation source.
 func (p *Path) stageDerivatives(e Engine, sc any, i int, sources []Source, slew float64, rising bool, step, slewStep float64, sims *int, m *runner.Metrics) (*stageDerivs, error) {
 	// eval wraps the engine's stage evaluation with the simulation counter
-	// and the shared metrics accumulators.
+	// and the shared metrics accumulators. GA reads only the measured
+	// ramp, so every simulation stops at the stage's measurement horizon.
+	stop := p.stageStop(i, rising)
 	eval := func(rs teta.RunSpec, s float64) (StageDelayResult, error) {
+		rs.Stop = stop
 		r, _, err := e.EvalStage(sc, i, rs, p.stageRamp(s, rising), rising)
 		if err != nil {
 			return r, err

@@ -200,6 +200,17 @@ type Figure5Row struct {
 	SetupSec       float64 // one-time variational characterization time
 	SPICESec       float64 // per-sample Newton baseline time
 	Speedup        float64
+
+	// Counted work behind the two times, per sample: the framework's SC
+	// iterations and prefactored solves and the order of the reduced
+	// model each solve works on, and the baseline's MNA unknowns and L+U
+	// factor nonzeros summed over its factorizations. Unlike the times
+	// these are exact and load-independent.
+	FrameworkSCIters float64
+	FrameworkSolves  float64
+	FrameworkOrder   int
+	SPICEUnknowns    int
+	SPICELUNonzeros  float64
 }
 
 // RunFigure5 sweeps wirelength and compares per-sample CPU time of the
@@ -219,6 +230,7 @@ func RunFigure5(o Ex2Options, lengths []float64, spiceSamples int) ([]Figure5Row
 		}
 		setup := time.Since(t0).Seconds()
 		specs := ex2SampleSpecs(o)
+		var fwSC, fwSolves int
 		t1 := time.Now()
 		for _, rs := range specs {
 			res, err := st.Run(rs)
@@ -228,6 +240,8 @@ func RunFigure5(o Ex2Options, lengths []float64, spiceSamples int) ([]Figure5Row
 			if _, err := ex2Delay(o, res); err != nil {
 				return nil, err
 			}
+			fwSC += res.Stats.SCIterations
+			fwSolves += res.Stats.LinearSolves
 		}
 		fwPer := time.Since(t1).Seconds() / float64(len(specs))
 		t2 := time.Now()
@@ -235,19 +249,28 @@ func RunFigure5(o Ex2Options, lengths []float64, spiceSamples int) ([]Figure5Row
 		if nSp > len(specs) {
 			nSp = len(specs)
 		}
+		var spUnknowns, spNonzeros int
 		for i := 0; i < nSp; i++ {
-			if _, _, err := ex2SpiceDelay(o, l, specs[i].W); err != nil {
+			_, stats, err := ex2SpiceDelay(o, l, specs[i].W)
+			if err != nil {
 				return nil, fmt.Errorf("length %g spice: %w", l, err)
 			}
+			spUnknowns = stats.Unknowns
+			spNonzeros += stats.LUNonzeros
 		}
 		spPer := time.Since(t2).Seconds() / float64(nSp)
 		rows = append(rows, Figure5Row{
-			LengthUm:       l,
-			LinearElements: st.BuildStats.LoadElements,
-			FrameworkSec:   fwPer,
-			SetupSec:       setup,
-			SPICESec:       spPer,
-			Speedup:        spPer / fwPer,
+			LengthUm:         l,
+			LinearElements:   st.BuildStats.LoadElements,
+			FrameworkSec:     fwPer,
+			SetupSec:         setup,
+			SPICESec:         spPer,
+			Speedup:          spPer / fwPer,
+			FrameworkSCIters: float64(fwSC) / float64(len(specs)),
+			FrameworkSolves:  float64(fwSolves) / float64(len(specs)),
+			FrameworkOrder:   st.BuildStats.ROMOrder,
+			SPICEUnknowns:    spUnknowns,
+			SPICELUNonzeros:  float64(spNonzeros) / float64(nSp),
 		})
 	}
 	return rows, nil

@@ -12,6 +12,7 @@ import (
 	"lcsim/internal/device"
 	"lcsim/internal/interconnect"
 	"lcsim/internal/iscas"
+	"lcsim/internal/runner"
 	"lcsim/internal/spice"
 	"lcsim/internal/stat"
 )
@@ -139,6 +140,18 @@ type Table4Row struct {
 	FrameworkSec float64 // per-sample stage-by-stage framework time
 	SPICESec     float64 // per-sample full-path Newton time
 	Speedup      float64
+
+	// Counted work behind the two times, per sample: the framework's SC
+	// iterations and prefactored solves over the whole path and the
+	// largest reduced-model order a stage solves on, and the full-path
+	// baseline's MNA unknowns and L+U factor nonzeros summed over its
+	// factorizations. Unlike the times these are exact and
+	// load-independent.
+	FrameworkSCIters float64
+	FrameworkSolves  float64
+	FrameworkOrder   int
+	SPICEUnknowns    int
+	SPICELUNonzeros  float64
 }
 
 // RunTable4 measures the framework-vs-baseline speedup for each benchmark
@@ -163,7 +176,8 @@ func RunTable4(o Ex3Options, set []iscas.Benchmark, elemCounts []int, fwSamples,
 			}
 			// Framework timing: per-sample full path evaluation, serial so
 			// the per-sample ratio is a single-core quantity.
-			mcCfg := core.MCConfig{N: fwSamples, Sources: sources, RunConfig: core.RunConfig{Seed: o.Seed + 1}}
+			fwWork := new(runner.Metrics)
+			mcCfg := core.MCConfig{N: fwSamples, Sources: sources, RunConfig: core.RunConfig{Seed: o.Seed + 1, Metrics: fwWork}}
 			t0 := time.Now()
 			if _, err := p.MonteCarloCtx(context.Background(), mcCfg); err != nil {
 				return nil, fmt.Errorf("%s framework MC: %w", b.Name, err)
@@ -171,6 +185,7 @@ func RunTable4(o Ex3Options, set []iscas.Benchmark, elemCounts []int, fwSamples,
 			fwPer := time.Since(t0).Seconds() / float64(fwSamples)
 			// Baseline timing: full-path transient per sample.
 			tstop := float64(len(cells))*0.25e-9 + 1e-9
+			var spUnknowns, spNonzeros int
 			t1 := time.Now()
 			for s := 0; s < spiceSamples; s++ {
 				dl := 0.33 * o.Tech.TolDL * float64(s) / float64(spiceSamples+1)
@@ -182,14 +197,27 @@ func RunTable4(o Ex3Options, set []iscas.Benchmark, elemCounts []int, fwSamples,
 				if err != nil {
 					return nil, err
 				}
-				if _, err := sim.Run([]string{out}); err != nil {
+				res, err := sim.Run([]string{out})
+				if err != nil {
 					return nil, fmt.Errorf("%s spice: %w", b.Name, err)
 				}
+				spUnknowns = res.Stats.Unknowns
+				spNonzeros += res.Stats.LUNonzeros
 			}
 			spPer := time.Since(t1).Seconds() / float64(spiceSamples)
+			work := fwWork.Snapshot()
+			order := 0
+			for _, st := range p.Stages {
+				order = max(order, st.TStage.BuildStats.ROMOrder)
+			}
 			row := Table4Row{
 				Circuit: b.Name, Stages: len(cells), Elems: elems,
 				FrameworkSec: fwPer, SPICESec: spPer, Speedup: spPer / fwPer,
+				FrameworkSCIters: float64(work.SCIterations) / float64(fwSamples),
+				FrameworkSolves:  float64(work.LinearSolves) / float64(fwSamples),
+				FrameworkOrder:   order,
+				SPICEUnknowns:    spUnknowns,
+				SPICELUNonzeros:  float64(spNonzeros) / float64(spiceSamples),
 			}
 			rows = append(rows, row)
 			if o.Progress != nil {

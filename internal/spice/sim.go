@@ -85,6 +85,13 @@ type Stats struct {
 	Steps            int
 	NewtonIterations int
 	LUFactorizations int
+	// Unknowns is the MNA system dimension: node voltages, voltage-source
+	// currents and macromodel internal unknowns.
+	Unknowns int
+	// LUNonzeros sums the nonzeros of the L and U factors over every
+	// transient factorization: the sparse factorization and solve work,
+	// which grows with the circuit where the factorization count need not.
+	LUNonzeros int
 }
 
 // Result holds a transient simulation outcome.

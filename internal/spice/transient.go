@@ -38,7 +38,7 @@ func (s *Simulator) Run(probes []string) (*Result, error) {
 		return nil, err
 	}
 
-	s.stats = Stats{}
+	s.stats = Stats{Unknowns: s.dim}
 	res := &Result{V: map[string][]float64{}, DCIter: dcIter}
 	record := func(t float64, v []float64) {
 		res.T = append(res.T, t)
@@ -261,6 +261,7 @@ func (s *Simulator) newtonSolve(base *sparse.Triplet, rhsBase, v0 []float64, t f
 		if err != nil {
 			return nil, fmt.Errorf("%w: singular matrix", ErrNoConvergence)
 		}
+		s.stats.LUNonzeros += lu.NNZ()
 		vNew := lu.Solve(rhs)
 		s.statsNewton()
 		// Damped update: limit the per-iteration node-voltage change, the

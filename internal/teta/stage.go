@@ -139,6 +139,8 @@ type BuildStats struct {
 
 // RunStats reports per-sample simulation work.
 type RunStats struct {
+	// Steps counts the timesteps executed: TStop/DT for a full-window
+	// run, fewer when a RunSpec.Stop horizon ended the transient early.
 	Steps        int
 	SCIterations int
 	// LinearSolves counts the prefactored triangular solves spent in the
@@ -239,6 +241,52 @@ type RunSpec struct {
 	W       map[string]float64   // wire-parameter sample (variational ROM evaluation)
 	DL, DVT float64              // device-parameter deviations for this sample
 	Inputs  [][]circuit.Waveform // Inputs[d][k]: waveform at input k of driver d
+	// Stop, when set, is the run's measurement horizon: the transient
+	// ends once the waveform past it can no longer change what is
+	// measured. The zero Stop runs the full TStop window.
+	Stop Stop
+}
+
+// Stop is a measurement horizon: the step loop ends after the step by
+// which every level has had its first crossing of port Port in direction
+// Dir (+1 rising, -1 falling; 0 disables the horizon). The crossing test
+// is exactly circuit.PWL.CrossTime's, so the recorded waveform is the
+// bit-identical prefix of the full-window run and every first crossing
+// of the levels — hence MeasureSatRamp at those levels — is unchanged.
+// An output that never crosses a level runs the full window.
+type Stop struct {
+	Port   int
+	Dir    int
+	Levels [3]float64
+}
+
+// horizon tracks a Stop through one run: pending holds one bit per level
+// still waiting for its first crossing.
+type horizon struct {
+	Stop
+	pending uint8
+}
+
+func newHorizon(s Stop) horizon {
+	h := horizon{Stop: s}
+	if s.Dir != 0 {
+		h.pending = 1<<len(s.Levels) - 1
+	}
+	return h
+}
+
+// reached records the step from v0 to v1 at the stop port and reports
+// whether every level has now had its first crossing.
+func (h *horizon) reached(v0, v1 float64) bool {
+	if h.Dir == 0 {
+		return false
+	}
+	for k, l := range h.Levels {
+		if h.Dir > 0 && v0 < l && v1 >= l || h.Dir < 0 && v0 > l && v1 <= l {
+			h.pending &^= 1 << k
+		}
+	}
+	return h.pending == 0
 }
 
 // Run simulates the stage for one sample (the paper's Table 1
@@ -303,6 +351,9 @@ func (st *Stage) RunWith(sc *Scratch, rs RunSpec) (*Result, error) {
 }
 
 func (st *Stage) checkInputs(rs RunSpec) error {
+	if rs.Stop.Dir != 0 && (rs.Stop.Port < 0 || rs.Stop.Port >= st.sys.Np) {
+		return fmt.Errorf("teta: stop port %d out of range (%d ports)", rs.Stop.Port, st.sys.Np)
+	}
 	if len(rs.Inputs) != len(st.drivers) {
 		return fmt.Errorf("teta: got %d input bundles for %d drivers", len(rs.Inputs), len(st.drivers))
 	}
@@ -432,6 +483,7 @@ func (st *Stage) runROM(rom *mor.ROM, rs RunSpec) (*Result, error) {
 		vinNow[di] = make([]float64, len(vin0[di]))
 	}
 	hist := make([]float64, np)
+	stop := newHorizon(rs.Stop)
 	for step := 1; step <= nSteps; step++ {
 		t := float64(step) * h
 		for di, d := range st.drivers {
@@ -483,6 +535,9 @@ func (st *Stage) runROM(rom *mor.ROM, rs RunSpec) (*Result, error) {
 		}
 		record(t, vp)
 		stats.Steps = step
+		if pv := res.PortV[stop.Port]; stop.reached(pv[step-1], pv[step]) {
+			break
+		}
 	}
 	res.Stats = stats
 	return res, nil

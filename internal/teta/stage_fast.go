@@ -134,6 +134,7 @@ func (st *Stage) runFast(sc *Scratch, rs RunSpec) (*Result, error) {
 		}
 	}
 	vp, iN, hist := sc.vp, sc.iN, sc.hist
+	stop := newHorizon(rs.Stop)
 	for step := 1; step <= nSteps; step++ {
 		t := float64(step) * h
 		for di, d := range st.drivers {
@@ -190,6 +191,9 @@ func (st *Stage) runFast(sc *Scratch, rs RunSpec) (*Result, error) {
 		}
 		record(t, vp)
 		stats.Steps = step
+		if pv := res.PortV[stop.Port]; stop.reached(pv[step-1], pv[step]) {
+			break
+		}
 	}
 	res.Stats = stats
 	return res, nil

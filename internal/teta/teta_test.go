@@ -282,6 +282,13 @@ func TestRunSpecValidation(t *testing.T) {
 	if _, err := st.Run(RunSpec{Inputs: [][]circuit.Waveform{{circuit.DC(0), circuit.DC(0)}}}); err == nil {
 		t.Fatal("wrong input arity must error")
 	}
+	in := [][]circuit.Waveform{{circuit.DC(0)}}
+	if _, err := st.Run(RunSpec{Inputs: in, Stop: Stop{Port: 2, Dir: -1}}); err == nil {
+		t.Fatal("stop on port 2 of a 2-port stage must error")
+	}
+	if _, err := st.RunExact(RunSpec{Inputs: in, Stop: Stop{Port: -1, Dir: +1}}); err == nil {
+		t.Fatal("stop on port -1 must error")
+	}
 }
 
 func TestErrNoConvergenceWrapped(t *testing.T) {
